@@ -89,35 +89,24 @@ func measureCandidate(ctx context.Context, dev *tegra.Device, cfg Config, w tegr
 }
 
 // SweepWorkload measures one fixed workload at every setting of grid:
-// the single-device, context-aware entry point behind the energyd
-// /v1/autotune endpoint. Each grid point executes the same work on the
+// the single-device, context-aware entry point behind energyd's sweeps
+// (fleet.Node.Sweep). Each grid point executes the same work on the
 // device and integrates a simulated PowerMon trace, fanning out over
 // cfg.Workers workers; ctx cancellation (a request deadline, a client
 // disconnect) stops the sweep between units. Every candidate derives
-// its measurement-noise seed from the setting's identity, so the sweep
-// is byte-identical for any worker count. A candidate that fails every
-// retry attempt aborts the sweep — a hole in the grid would silently
-// bias the pick.
+// its measurement-noise seed from the setting's identity, and a sweep
+// with a candidate that fails every retry (a hole in the grid would
+// bias the pick) reports the first failure in grid order, so result and
+// error alike are byte-identical for any worker count.
 func SweepWorkload(ctx context.Context, dev *tegra.Device, cfg Config, w tegra.Workload, grid []dvfs.Setting) ([]core.Candidate, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("experiments: empty setting grid")
 	}
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("experiments: sweep workload: %w", err)
-	}
-	cands := make([]core.Candidate, len(grid))
-	err := forEach(ctx, cfg, "sweep", len(grid), func(i int) error {
-		c, err := measureCandidate(ctx, dev, cfg, w, grid[i])
-		if err != nil {
-			return err
-		}
-		cands[i] = c
-		return nil
-	})
+	res, err := SweepTargets(ctx, cfg, w, []SweepTarget{{Dev: dev, Cfg: cfg, Grid: grid}})
 	if err != nil {
 		return nil, err
 	}
-	return cands, nil
+	return res[0].Candidates, res[0].Err
 }
 
 // SweepTarget is one device's share of a fleet sweep: the device, its
@@ -137,18 +126,17 @@ type TargetSweep struct {
 }
 
 // SweepTargets measures one workload on every target, flattening all
-// (target, setting) pairs onto a single worker pool — the fleet
-// placement fan-out. Each unit derives its measurement-noise seed from
-// its target's cfg.Seed and its setting's identity, so per-target
-// results are byte-identical to running SweepWorkload on that target
-// alone, at any pool worker count and in any scheduling order.
+// (target, setting) pairs onto a single worker pool (serving sweeps
+// through fleet.Node.Sweep; the benchmark's pool probe calls this).
+// Each unit derives its measurement-noise seed from its target's
+// cfg.Seed and its setting's identity, so per-target results are
+// byte-identical to SweepWorkload on that target alone, at any pool
+// worker count and in any scheduling order.
 //
-// Unlike SweepWorkload, one target's permanent failure does not abort
-// the others: its TargetSweep carries the error (deterministically the
-// first in grid order) and its candidates are nil, so the fleet layer
-// can report the device unavailable while the rest still answer. Only
-// ctx cancellation — a request deadline or client disconnect — stops
-// the whole fan-out, returning the ctx error.
+// One target's permanent failure does not abort the others: its
+// TargetSweep carries the first error in grid order and nil candidates
+// (points past the lowest failing one are skipped). Only ctx
+// cancellation stops the whole fan-out, returning the ctx error.
 //
 // pool supplies the shared concurrency knobs (Workers, OnProgress);
 // per-unit measurement behavior comes from each target's own Cfg.
@@ -159,23 +147,29 @@ func SweepTargets(ctx context.Context, pool Config, w tegra.Workload, targets []
 	type unit struct{ target, point int }
 	var work []unit
 	out := make([]TargetSweep, len(targets))
-	errs := make([][]error, len(targets))
+	failAt := make([]int, len(targets)) // lowest failing point per target (Err's), under mu
 	//energylint:allow ctxloop(bounded in-memory setup; the measurement fan-out below runs under forEach, which honors ctx)
 	for ti, t := range targets {
+		failAt[ti] = len(t.Grid)
 		if len(t.Grid) == 0 {
 			out[ti].Err = fmt.Errorf("experiments: target %d: empty setting grid", ti)
 			continue
 		}
 		out[ti].Candidates = make([]core.Candidate, len(t.Grid))
-		errs[ti] = make([]error, len(t.Grid))
 		for gi := range t.Grid {
 			work = append(work, unit{target: ti, point: gi})
 		}
 	}
 	var mu sync.Mutex
-	err := forEach(ctx, pool, "fleetsweep", len(work), func(i int) error {
+	err := forEach(ctx, pool, "sweep", len(work), func(i int) error {
 		u := work[i]
 		t := targets[u.target]
+		mu.Lock()
+		skip := u.point > failAt[u.target]
+		mu.Unlock()
+		if skip {
+			return nil
+		}
 		c, err := measureCandidate(ctx, t.Dev, t.Cfg, w, t.Grid[u.point])
 		if err != nil {
 			if ctx.Err() != nil {
@@ -184,7 +178,9 @@ func SweepTargets(ctx context.Context, pool Config, w tegra.Workload, targets []
 				return err
 			}
 			mu.Lock()
-			errs[u.target][u.point] = err
+			if u.point < failAt[u.target] {
+				failAt[u.target], out[u.target].Err = u.point, err
+			}
 			mu.Unlock()
 			return nil
 		}
@@ -196,13 +192,7 @@ func SweepTargets(ctx context.Context, pool Config, w tegra.Workload, targets []
 	}
 	for ti := range out {
 		if out[ti].Err != nil {
-			continue
-		}
-		for _, e := range errs[ti] {
-			if e != nil {
-				out[ti] = TargetSweep{Err: e}
-				break
-			}
+			out[ti].Candidates = nil
 		}
 	}
 	return out, nil

@@ -34,7 +34,8 @@ func (s BreakerState) String() string {
 // cooldown, one half-open probe sweep is allowed through: success
 // recloses the breaker, failure reopens it for another cooldown.
 // ForceOpen pins the breaker open regardless of outcomes (the
-// -force-degraded drill flag of cmd/energyd).
+// -force-degraded drill flag of cmd/energyd). Node.Sweep is the only
+// serving caller of Allow and the settling calls.
 type Breaker struct {
 	mu        sync.Mutex
 	threshold int              // consecutive failures that trip the breaker

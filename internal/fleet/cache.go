@@ -34,7 +34,8 @@ var ErrWaiterAbandoned = errors.New("fleet: waiter abandoned in-flight computati
 // in their key (workload identity plus the owning device's seed), so a
 // cached answer is exactly the answer a fresh sweep would produce. Every
 // fleet device owns one Cache, so evictions and breaker trips on one
-// device never disturb another's working set.
+// device never disturb another's working set. Serving reaches it only
+// through Node.Sweep, so both sweep endpoints share its flights.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -113,20 +114,28 @@ func (c *Cache) Close(err error) {
 // fn panics, the panic propagates to the owner, the flight is
 // unregistered — the key is never poisoned — and waiters fail with
 // ErrFlightPanic (wrapped in ErrShared).
+func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val any, hit bool, err error) {
+	val, out, err := c.do(ctx, key, fn)
+	return val, err == nil && out != SweepFresh, err
+}
+
+// do is Do reporting where the answer came from: SweepHit (the LRU),
+// SweepJoined (another caller's flight, or a closed cache) or SweepFresh
+// (this caller ran fn).
 //
 //energylint:hotpath
-func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val any, hit bool, err error) {
+func (c *Cache) do(ctx context.Context, key string, fn func() (any, error)) (any, SweepOutcome, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.closeErr
 		c.mu.Unlock()
-		return nil, false, err
+		return nil, SweepJoined, err
 	}
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		v := el.Value.(*cacheEntry).val
 		c.mu.Unlock()
-		return v, true, nil
+		return v, SweepHit, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
@@ -134,17 +143,17 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val
 		case <-f.done:
 			if f.err != nil {
 				//energylint:allow hotalloc(joined-flight failure exit, not the steady-state hit path; %w preserves the errors.Is chain)
-				return nil, false, fmt.Errorf("%w: %w", ErrShared, f.err)
+				return nil, SweepJoined, fmt.Errorf("%w: %w", ErrShared, f.err)
 			}
-			return f.val, true, nil
+			return f.val, SweepJoined, nil
 		case <-c.closedCh:
 			c.mu.Lock()
 			err := c.closeErr
 			c.mu.Unlock()
-			return nil, false, err
+			return nil, SweepJoined, err
 		case <-ctx.Done():
 			//energylint:allow hotalloc(abandoned-waiter exit, not the steady-state hit path; %w preserves the errors.Is chain)
-			return nil, false, fmt.Errorf("%w: %w", ErrWaiterAbandoned, ctx.Err())
+			return nil, SweepJoined, fmt.Errorf("%w: %w", ErrWaiterAbandoned, ctx.Err())
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -169,14 +178,11 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val
 	}()
 	f.val, f.err = fn()
 	panicked = false
-	return f.val, false, f.err
+	return f.val, SweepFresh, f.err
 }
 
-// Put stores a value computed outside Do — the fleet placement path
-// shards many devices' sweeps onto one worker pool and deposits each
-// device's share here afterwards. Concurrent Put and Do for the same key
-// are safe: sweeps are deterministic in the key, so whichever write
-// lands last stores the same bytes the other computed.
+// Put stores a value computed outside Do, to seed a cache directly
+// (benchmarks). Serving fills caches only through Do.
 func (c *Cache) Put(key string, val any) {
 	c.mu.Lock()
 	c.insert(key, val)
@@ -204,8 +210,8 @@ func (c *Cache) insert(key string, val any) {
 
 // Get returns the cached value for key without computing anything on a
 // miss. A hit still refreshes the entry's LRU position. This is the
-// degraded-mode read path: while a device's breaker is open the serving
-// layer answers from here instead of calling Do.
+// degraded-mode read path: while a device's breaker is open Node.Sweep
+// answers from here instead of calling Do.
 //
 //energylint:hotpath
 func (c *Cache) Get(key string) (any, bool) {

@@ -273,8 +273,11 @@ func TestCachePutServesDo(t *testing.T) {
 // lookup and an LRU list move, and must stay that way.
 func BenchmarkCacheGet(b *testing.B) {
 	c := NewCache(64)
+	ctx := context.Background()
 	for i := 0; i < 64; i++ {
-		c.Put(fmt.Sprintf("sweep-%02d", i), i)
+		if _, _, err := c.Do(ctx, fmt.Sprintf("sweep-%02d", i), func() (any, error) { return i, nil }); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

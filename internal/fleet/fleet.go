@@ -11,7 +11,7 @@
 //     variants with per-device seeds, calibration caches, DVFS bounds).
 //   - Node — one running device: simulator, calibration, per-device
 //     sweep cache and circuit breaker, a load gauge, and a lifecycle
-//     state (see NodeState).
+//     state (see NodeState); Node.Sweep is its serving sweep protocol.
 //   - Registry — the routing layer: deterministic consistent-hash
 //     placement with ring-order failover around open breakers, a
 //     least-loaded picker, and live membership — devices are added,
@@ -28,7 +28,7 @@
 // Everything is deterministic: per-device seeds derive from the fleet
 // seed and the device ID (never from registry order), routing is a pure
 // function of the request key and the sorted active ID list, probe
-// backoff jitter derives from MixSeed lineage, and sweeps shard over
+// backoff jitter derives from MixSeed lineage, and sweeps fan out over
 // the experiments worker pool with identity-derived seeds — so a fleet
 // answer is byte-identical at any worker count or routing order.
 package fleet
@@ -94,7 +94,7 @@ type NodeOptions struct {
 // state. cal may be nil for a device still calibrating (see
 // Registry.Add); it must then be supplied via SetCalibration before the
 // node serves. cfg.OnProgress, if set, fires from every sweep this node
-// runs; callers serving concurrent requests should leave it nil.
+// runs; calls are serialized across all nodes, which may share one hook.
 func NewNode(id string, dev *tegra.Device, cal *experiments.Calibration, cfg experiments.Config, grids map[string][]dvfs.Setting, opts NodeOptions) *Node {
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = 64

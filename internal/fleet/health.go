@@ -220,6 +220,6 @@ func DefaultProbe(ctx context.Context, n *Node) error {
 		Profile:   counters.Profile{SP: 1e8, Int: 5e7, DRAMWords: 2e7},
 		Occupancy: 0.5,
 	}
-	_, err := experiments.SweepWorkload(ctx, n.Dev, n.Cfg, w, grid[:1])
+	_, err := experiments.SweepWorkload(ctx, n.Dev, n.sweepConfig(), w, grid[:1])
 	return err
 }

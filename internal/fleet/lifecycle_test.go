@@ -135,7 +135,9 @@ func TestAddCalibratingThenActivate(t *testing.T) {
 func TestEvictSettlesCacheWaitersAndFreesLRU(t *testing.T) {
 	reg := buildTestFleet(t)
 	n, _ := reg.Get("tk1-hot")
-	n.Cache.Put("warm", 1)
+	if _, _, err := n.Cache.Do(context.Background(), "warm", func() (any, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
 
 	// Owner holds a flight open; a second caller joins it as a waiter.
 	started := make(chan struct{})

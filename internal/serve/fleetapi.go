@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
+	"sync"
 
 	"dvfsroofline/internal/core"
-	"dvfsroofline/internal/experiments"
 	"dvfsroofline/internal/fleet"
-	"dvfsroofline/internal/tegra"
 	"dvfsroofline/internal/units"
 )
 
@@ -114,24 +110,17 @@ type PlaceResponse struct {
 }
 
 // handleFleetPlace answers "which device runs this workload cheapest,
-// and at which DVFS setting?" It checks each device's sweep cache,
-// shards the remaining devices' sweeps as (device, setting) units onto
-// one worker pool (experiments.SweepTargets), deposits each device's
-// share back into that device's cache, and feeds each device's breaker
-// with its own outcome. Devices whose breaker rejects fresh work and
-// whose cache has no entry are skipped, not failed — a placement over
-// the surviving fleet is still useful, and the skip list says what it
-// omits.
+// and at which DVFS setting?" It sweeps every active device
+// concurrently through fleet.Node.Sweep, then scores each sweep and
+// takes the argmin. A device whose sweep failed or whose open breaker
+// has no cached sweep is skipped; only the end of this request's own
+// context (deadline, disconnect) fails the whole placement.
 func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 	var req AutotuneRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	gridName := req.Grid
-	if gridName == "" {
-		gridName = "calibration"
-	}
-	wl := tegra.Workload{Profile: req.Profile.profile(), Occupancy: occupancyOrDefault(req.Occupancy)}
+	gridName, wl := req.sweepInput()
 	if err := wl.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -148,89 +137,43 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := s.timeout
-	if req.TimeoutS > 0 && time.Duration(float64(req.TimeoutS)*float64(time.Second)) < timeout {
-		timeout = time.Duration(float64(req.TimeoutS) * float64(time.Second))
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.sweepContext(r, req.TimeoutS)
 	defer cancel()
-
-	// Partition the fleet: cached devices answer immediately, healthy
-	// uncached ones join the sharded sweep, open-breaker misses are
-	// skipped.
-	sweeps := make(map[string][]core.Candidate, len(nodes))
-	var skips []PlaceSkip
-	var targets []experiments.SweepTarget
-	var targetNodes []*fleet.Node
-	for _, n := range nodes {
-		key := autotuneKey(gridName, wl, n.Cfg.Seed)
-		if val, ok := n.Cache.Get(key); ok {
-			s.metrics.cacheHit(n.ID)
-			sweeps[n.ID] = val.([]core.Candidate)
-			continue
-		}
-		if !n.Breaker.Allow() {
-			skips = append(skips, PlaceSkip{DeviceID: n.ID, Reason: "sweep breaker open and no cached sweep"})
-			continue
-		}
-		s.metrics.cacheMiss(n.ID)
-		targets = append(targets, experiments.SweepTarget{Dev: n.Dev, Cfg: n.Cfg, Grid: n.Grids[gridName]})
-		targetNodes = append(targetNodes, n)
+	sweeps := make([][]core.Candidate, len(nodes))
+	errs := make([]error, len(nodes))
+	panics := make([]any, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			sweeps[i], _, errs[i] = s.sweep(ctx, n, gridName, wl)
+		}()
 	}
-	if len(targets) > 0 {
-		results, err := experiments.SweepTargets(ctx, nodes[0].Cfg, wl, targets)
-		if err != nil {
-			// Cancellation: no per-device outcome exists, so no breaker
-			// signal either way — but every target passed Allow above
-			// and may hold its breaker's half-open probe slot. Release
-			// them all, or a cancelled place request would wedge every
-			// half-open breaker it touched until the next cooldown.
-			for _, n := range targetNodes {
-				n.Breaker.Release()
-			}
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				writeError(w, http.StatusGatewayTimeout, "sweep deadline exceeded")
-			case errors.Is(err, context.Canceled):
-				writeError(w, http.StatusServiceUnavailable, "sweep cancelled")
-			default:
-				writeError(w, http.StatusInternalServerError, err.Error())
-			}
-			return
+	wg.Wait()
+	// Re-panic where net/http contains it, not in a bare goroutine.
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
 		}
-		for i, res := range results {
-			n := targetNodes[i]
-			if res.Err != nil {
-				n.Breaker.Failure()
-				skips = append(skips, PlaceSkip{DeviceID: n.ID, Reason: res.Err.Error()})
-				continue
-			}
-			n.Breaker.Success()
-			n.Cache.Put(autotuneKey(gridName, wl, n.Cfg.Seed), res.Candidates)
-			sweeps[n.ID] = res.Candidates
-			var sweep units.Joule
-			for _, c := range res.Candidates {
-				sweep += c.MeasuredEnergy
-			}
-			s.metrics.addSweepJoules(n.ID, float64(sweep))
-			s.observeSweep(n, res.Candidates)
-		}
-	}
-	if len(sweeps) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no device could sweep this workload")
-		return
 	}
 
-	// Score per device and take the fleet argmin. Iterating nodes in
-	// sorted-ID order makes the strict < tie-break deterministic.
-	resp := PlaceResponse{Grid: gridName, Skipped: skips}
+	// Score per device and take the fleet argmin. Sorted-ID order makes
+	// the skip list and the strict < tie-break deterministic.
+	resp := PlaceResponse{Grid: gridName}
 	winner := -1
-	for _, n := range nodes {
-		cands, ok := sweeps[n.ID]
-		if !ok {
+	for i, n := range nodes {
+		if err := errs[i]; err != nil {
+			if ctx.Err() != nil {
+				code, msg := sweepError(ctx.Err())
+				writeError(w, code, msg)
+				return
+			}
+			resp.Skipped = append(resp.Skipped, PlaceSkip{DeviceID: n.ID, Reason: err.Error()})
 			continue
 		}
-		sc := scoreSweep(n.Cal().Model, gridName, cands)
+		sc := scoreSweep(n.Cal().Model, gridName, sweeps[i])
 		resp.Devices = append(resp.Devices, DevicePlacement{
 			DeviceID:             n.ID,
 			Candidates:           sc.Candidates,
@@ -240,10 +183,14 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 			ModelExtraEnergyPct:  sc.ModelExtraEnergyPct,
 			OracleExtraEnergyPct: sc.OracleExtraEnergyPct,
 		})
-		i := len(resp.Devices) - 1
-		if winner < 0 || resp.Devices[i].MeasuredMin.MeasuredJ < resp.Devices[winner].MeasuredMin.MeasuredJ {
-			winner = i
+		d := len(resp.Devices) - 1
+		if winner < 0 || resp.Devices[d].MeasuredMin.MeasuredJ < resp.Devices[winner].MeasuredMin.MeasuredJ {
+			winner = d
 		}
+	}
+	if winner < 0 {
+		writeError(w, http.StatusServiceUnavailable, "no device could sweep this workload")
+		return
 	}
 	resp.Winner = resp.Devices[winner].DeviceID
 	resp.WinnerPick = resp.Devices[winner].MeasuredMin

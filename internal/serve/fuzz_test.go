@@ -16,7 +16,8 @@ import (
 )
 
 // The fuzz targets drive raw bytes through the energyd JSON decoders and
-// hold two invariants over /v1/predict and /v1/autotune:
+// hold two invariants over /v1/predict, /v1/autotune and
+// /v1/fleet/place (which decodes the autotune request type):
 //
 //  1. the handler never panics, whatever the body;
 //  2. a body the wire decoder rejects is never answered 2xx, and every
@@ -144,6 +145,8 @@ func FuzzAutotuneRequest(f *testing.F) {
 		`{"profile": {"dp_fma": 1e9}, "occupancy": 2}`,
 		`{"profile": {"int": 5e8, "l2_words": 1e8}, "timeout_s": 0.01}`,
 		`{"profile": {"dp_fma": 1e15}}`,
+		`{"profile": {"sp": 3e8}, "timeout_s": 1e10}`,
+		`{"profile": {"sp": 3e8}, "timeout_s": 1e300}`,
 		`{"profile": {}}`,
 		`{"profile": {"dp_fma": 1e9}, "unknown": true}`,
 		`[1, 2, 3]`,
@@ -152,7 +155,9 @@ func FuzzAutotuneRequest(f *testing.F) {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		var req serve.AutotuneRequest
-		checkInvariants(t, h, "/v1/autotune", body, &req)
+		for _, path := range []string{"/v1/autotune", "/v1/fleet/place"} {
+			var req serve.AutotuneRequest
+			checkInvariants(t, h, path, body, &req)
+		}
 	})
 }

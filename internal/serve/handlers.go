@@ -13,7 +13,6 @@ import (
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/dvfs"
-	"dvfsroofline/internal/experiments"
 	"dvfsroofline/internal/fleet"
 	"dvfsroofline/internal/tegra"
 	"dvfsroofline/internal/units"
@@ -247,16 +246,12 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	gridName := req.Grid
-	if gridName == "" {
-		gridName = "calibration"
-	}
-	wl := tegra.Workload{Profile: req.Profile.profile(), Occupancy: occupancyOrDefault(req.Occupancy)}
+	gridName, wl := req.sweepInput()
 
 	// Sweep traffic routes to the healthiest device in ring order from
 	// the workload's hash: cache-affine when the primary is up, a
 	// deterministic neighbor when its breaker is open.
-	node, _ := s.reg.RouteHealthy(workloadKey(gridName, wl))
+	node, _ := s.reg.RouteHealthy(fleet.WorkloadKey(gridName, wl))
 	if node == nil {
 		writeError(w, http.StatusServiceUnavailable, "no active device in the fleet")
 		return
@@ -265,8 +260,7 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	markDevice(w, node.ID)
 
-	grid, ok := node.Grids[gridName]
-	if !ok {
+	if _, ok := node.Grids[gridName]; !ok {
 		writeErrorDev(w, http.StatusBadRequest, fmt.Sprintf("unknown grid %q (want \"calibration\" or \"full\")", gridName), node.ID)
 		return
 	}
@@ -275,100 +269,80 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The request deadline propagates into the sweep pipeline: client
-	// disconnects and timeouts cancel the in-flight forEach between
-	// units of work.
-	timeout := s.timeout
-	if req.TimeoutS > 0 && time.Duration(float64(req.TimeoutS)*float64(time.Second)) < timeout {
-		timeout = time.Duration(float64(req.TimeoutS) * float64(time.Second))
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.sweepContext(r, req.TimeoutS)
 	defer cancel()
-
-	key := autotuneKey(gridName, wl, node.Cfg.Seed)
-	if !node.Breaker.Allow() {
-		// Degraded mode: the breaker is open, so no fresh sweep runs.
-		// A stale cached sweep is still exactly the answer a fresh one
-		// would give (sweeps are deterministic in the key), so serve it
-		// flagged; with nothing cached there is nothing safe to say.
-		if val, ok := node.Cache.Get(key); ok {
-			s.metrics.cacheHit(node.ID)
-			s.metrics.degradedHit(node.ID)
-			resp := scoreSweep(node.Cal().Model, gridName, val.([]core.Candidate))
-			resp.Cached = true
-			resp.Degraded = true
-			s.metrics.addAnsweredJoules(node.ID, float64(resp.Model.MeasuredJ))
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		writeErrorDev(w, http.StatusServiceUnavailable, "sweep breaker open and no cached sweep for this workload", node.ID)
-		return
-	}
-	// The Allow above may hold the breaker's single half-open probe
-	// slot; every exit below must settle it exactly once. The deferred
-	// release is the backstop for a panicking sweep unwinding through
-	// this handler — without it the probe slot leaks and the breaker
-	// never admits another probe.
-	settled := false
-	defer func() {
-		if !settled {
-			node.Breaker.Release()
-		}
-	}()
-	val, hit, err := node.Cache.Do(ctx, key, func() (any, error) {
-		cands, err := experiments.SweepWorkload(ctx, node.Dev, node.Cfg, wl, grid)
-		if err != nil {
-			return nil, err
-		}
-		return cands, nil
-	})
-	switch {
-	case hit:
-		s.metrics.cacheHit(node.ID)
-		node.Breaker.Release() // no sweep ran; free any half-open probe slot
-	case errors.Is(err, fleet.ErrShared), errors.Is(err, fleet.ErrWaiterAbandoned):
-		// Waiter outcomes: another request's sweep failed, or this
-		// waiter's context ended first. Neither says anything about a
-		// sweep this request ran, so the probe slot is released, not
-		// scored — and the owner already fed the breaker its verdict.
-		node.Breaker.Release()
-	case err == nil:
-		s.metrics.cacheMiss(node.ID)
-		node.Breaker.Success()
-		var sweep units.Joule
-		for _, c := range val.([]core.Candidate) {
-			sweep += c.MeasuredEnergy
-		}
-		s.metrics.addSweepJoules(node.ID, float64(sweep))
-		// Only this branch ran a fresh measured sweep; cached and shared
-		// results re-score old bytes and carry no drift signal.
-		s.observeSweep(node, val.([]core.Candidate))
-	case errors.Is(err, context.Canceled):
-		// This request's own cancellation says nothing about the sweep
-		// path's health, so it carries no signal either way — but the
-		// probe slot must still be freed.
-		s.metrics.cacheMiss(node.ID)
-		node.Breaker.Release()
-	default:
-		s.metrics.cacheMiss(node.ID)
-		node.Breaker.Failure()
-	}
-	settled = true
+	cands, out, err := s.sweep(ctx, node, gridName, wl)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeErrorDev(w, http.StatusGatewayTimeout, "sweep deadline exceeded", node.ID)
-		case errors.Is(err, context.Canceled):
-			writeErrorDev(w, http.StatusServiceUnavailable, "sweep cancelled", node.ID)
-		default:
-			writeErrorDev(w, http.StatusInternalServerError, err.Error(), node.ID)
-		}
+		code, msg := sweepError(err)
+		writeErrorDev(w, code, msg, node.ID)
 		return
 	}
-	resp := scoreSweep(node.Cal().Model, gridName, val.([]core.Candidate))
-	resp.Cached = hit
+	resp := scoreSweep(node.Cal().Model, gridName, cands)
+	resp.Cached = out != fleet.SweepFresh
+	if out == fleet.SweepDegraded { // only autotune bodies carry the flag
+		resp.Degraded = true
+		s.metrics.degradedHit(node.ID)
+	}
 	s.metrics.addAnsweredJoules(node.ID, float64(resp.Model.MeasuredJ))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// sweepInput resolves a sweep request's grid name (default
+// "calibration") and workload; callers validate both.
+func (req AutotuneRequest) sweepInput() (string, tegra.Workload) {
+	grid := req.Grid
+	if grid == "" {
+		grid = "calibration"
+	}
+	return grid, tegra.Workload{Profile: req.Profile.profile(), Occupancy: occupancyOrDefault(req.Occupancy)}
+}
+
+// sweepContext bounds a sweep by the client's connection and timeout_s,
+// capped at the server's limit in seconds so a huge timeout_s cannot
+// overflow into a negative Duration.
+func (s *Server) sweepContext(r *http.Request, timeoutS units.Second) (context.Context, context.CancelFunc) {
+	timeout := s.timeout
+	if timeoutS > 0 && float64(timeoutS) < timeout.Seconds() {
+		timeout = time.Duration(float64(timeoutS) * float64(time.Second))
+	}
+	return context.WithTimeout(r.Context(), timeout)
+}
+
+// sweep runs fleet.Node.Sweep and books its outcome: a sweep this request
+// ran is a cache miss and, once complete, charges sweep_j and feeds the
+// drift watchdog; any other answer is a cache hit.
+func (s *Server) sweep(ctx context.Context, n *fleet.Node, grid string, wl tegra.Workload) ([]core.Candidate, fleet.SweepOutcome, error) {
+	cands, out, err := n.Sweep(ctx, grid, wl)
+	switch {
+	case out == fleet.SweepFresh:
+		s.metrics.cacheMiss(n.ID)
+		if err == nil {
+			var sweep units.Joule
+			for _, c := range cands {
+				sweep += c.MeasuredEnergy
+			}
+			s.metrics.addSweepJoules(n.ID, float64(sweep))
+			s.observeSweep(n, cands)
+		}
+	case err == nil:
+		s.metrics.cacheHit(n.ID)
+	}
+	return cands, out, err
+}
+
+// sweepError maps a failed sweep to the status and message both sweep
+// endpoints answer with.
+func sweepError(err error) (int, string) {
+	switch {
+	case errors.Is(err, fleet.ErrBreakerOpen):
+		return http.StatusServiceUnavailable, "sweep breaker open and no cached sweep for this workload"
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, "sweep deadline exceeded"
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable, "sweep cancelled"
+	default:
+		return http.StatusInternalServerError, err.Error()
+	}
 }
 
 // scoreSweep runs the three pickers of §II-E over one finished sweep.
@@ -402,27 +376,6 @@ func scoreSweep(m *core.Model, gridName string, cands []core.Candidate) *Autotun
 		ModelExtraEnergyPct:  extra(model),
 		OracleExtraEnergyPct: extra(oracle),
 	}
-}
-
-// autotuneKey canonicalizes a sweep request for one device's cache. Two
-// requests with the same key are guaranteed to produce identical sweeps
-// (the measurement noise is seeded by setting identity and the device's
-// campaign seed alone).
-func autotuneKey(grid string, wl tegra.Workload, seed int64) string {
-	return fmt.Sprintf("g=%s occ=%g seed=%d %s", grid, wl.Occupancy, seed, profileKey(wl.Profile))
-}
-
-// workloadKey canonicalizes a sweep request for routing: the
-// device-independent part of autotuneKey, so the same workload hashes
-// to the same device no matter which device ends up serving it.
-func workloadKey(grid string, wl tegra.Workload) string {
-	return fmt.Sprintf("g=%s occ=%g %s", grid, wl.Occupancy, profileKey(wl.Profile))
-}
-
-func profileKey(p counters.Profile) string {
-	return fmt.Sprintf("sp=%g fma=%g add=%g mul=%g int=%g sm=%g l1=%g l2=%g dram=%g",
-		p.SP, p.DPFMA, p.DPAdd, p.DPMul, p.Int,
-		p.SharedWords, p.L1Words, p.L2Words, p.DRAMWords)
 }
 
 // CalibrationResponse summarizes one device's loaded calibration: the

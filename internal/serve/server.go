@@ -27,9 +27,9 @@
 // Request routing is deterministic: predict and autotune traffic lands
 // on a device by consistent hash of the workload identity (cache
 // affinity), failing over in ring order around open breakers; placement
-// shards every device's sweep onto one worker pool with
-// identity-derived seeds. Fleet answers are therefore byte-identical at
-// any worker count and for any routing history.
+// sweeps every active device concurrently. Both run each device sweep
+// through fleet.Node.Sweep with identity-derived seeds, so fleet answers
+// are byte-identical at any worker count and for any routing history.
 //
 // Single-device mode is the degenerate one-node fleet: the node carries
 // the reserved empty ID, which keeps device labels off every legacy
