@@ -12,7 +12,9 @@
 //	POST /v1/fleet/place   — cheapest (device, setting) across the fleet
 //	GET  /v1/fleet/devices — fleet inventory with per-device health
 //	GET  /healthz          — liveness (stays 200 in degraded mode)
-//	GET  /readyz           — readiness (503 once no device can sweep)
+//	GET  /readyz           — readiness: one device, 503 while its
+//	                         breaker is open; a fleet, 503 only at zero
+//	                         active devices
 //	GET  /metrics          — Prometheus text format
 //
 // With -fleet fleet.json the daemon serves a heterogeneous multi-device

@@ -163,7 +163,6 @@ func All() []*Analyzer {
 		Lockguard,
 		Lockorder,
 		Seedflow,
-		Unitdoc,
 		Unittypes,
 	}
 }

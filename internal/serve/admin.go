@@ -48,10 +48,10 @@ type RemoveDeviceResponse struct {
 	Graceful bool `json:"graceful"`
 }
 
-// adminEnabled gates the membership verbs; the legacy single-device
-// server and fleets built without an Admin reject them.
+// adminEnabled gates the membership verbs: servers built without an
+// Admin reject them, and New never sets one.
 func (s *Server) adminEnabled(w http.ResponseWriter) bool {
-	if s.legacy || s.admin == nil {
+	if s.admin == nil {
 		writeError(w, http.StatusForbidden, "fleet membership admin is disabled")
 		return false
 	}

@@ -65,23 +65,24 @@ func identicalFleet(t *testing.T, n int) *serve.Server {
 // production path (fleet.Build + synthetic calibrations).
 func heterogeneousFleet(t *testing.T, workers int) *serve.Server {
 	t.Helper()
-	return heterogeneousFleetCfg(t, experiments.Config{Seed: 42, Workers: workers})
+	return heterogeneousFleetCfg(t, experiments.Config{Seed: 42, Workers: workers}, serve.Options{})
 }
 
 // heterogeneousFleetCfg is heterogeneousFleet over an arbitrary base
-// experiment config (worker count, fault plan).
-func heterogeneousFleetCfg(t *testing.T, base experiments.Config) *serve.Server {
+// experiment config (worker count, fault plan) and server options
+// (clock, admin).
+func heterogeneousFleetCfg(t *testing.T, base experiments.Config, opts serve.Options) *serve.Server {
 	t.Helper()
 	fc := fleet.FleetConfig{Seed: 42, Devices: []fleet.Spec{
 		{ID: "tk1-reference"},
 		{ID: "tk1-binned-hot", Params: fleet.ParamsJSON{LeakProcWpV: 3.55, MiscW: 0.32}},
 		{ID: "tk1-lowpower-sku", Params: fleet.ParamsJSON{SPpJ: 22.1, DRAMpJ: 318.5}, MaxCoreMHz: 612},
 	}}
-	reg, err := fleet.Build(fc, base, nil, fleet.NodeOptions{})
+	reg, err := fleet.Build(fc, base, nil, opts.NodeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serve.NewFleet(reg, serve.Options{})
+	return serve.NewFleet(reg, opts)
 }
 
 // TestIdenticalFleetMatchesSingleDevice is the degenerate-fleet

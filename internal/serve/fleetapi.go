@@ -49,12 +49,6 @@ func (s *Server) handleFleetPredict(w http.ResponseWriter, r *http.Request) {
 			writeErrorDev(w, http.StatusNotFound, fmt.Sprintf("unknown device %q", req.Device), req.Device)
 			return
 		}
-		if n.Cal() == nil {
-			// Still calibrating after a runtime add: nothing to predict
-			// with yet.
-			writeErrorDev(w, http.StatusServiceUnavailable, fmt.Sprintf("device %q is still calibrating", req.Device), req.Device)
-			return
-		}
 		node = n
 	case route == "least_loaded":
 		node = s.reg.LeastLoaded()
@@ -65,9 +59,16 @@ func (s *Server) handleFleetPredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no active device in the fleet")
 		return
 	}
+	// Routed nodes are active and so calibrated; a pinned device may
+	// still be calibrating after a runtime add.
+	cal := node.Cal()
+	if cal == nil {
+		writeErrorDev(w, http.StatusServiceUnavailable, fmt.Sprintf("device %q is still calibrating", node.ID), node.ID)
+		return
+	}
 	release := node.Acquire()
 	defer release()
-	resp, err := s.predictOn(node, req.PredictRequest)
+	resp, err := s.predictOn(node, cal.Model, req.PredictRequest)
 	if err != nil {
 		writeErrorDev(w, http.StatusBadRequest, err.Error(), node.ID)
 		return
@@ -242,38 +243,27 @@ func (s *Server) handleFleetDevices(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFleetDevicesList(w http.ResponseWriter, r *http.Request) {
+	st := s.status()
 	resp := DevicesResponse{
-		Epoch:   s.reg.Epoch(),
-		States:  make(map[string]int),
-		Devices: make([]DeviceInfo, 0, s.reg.Len()),
+		Epoch:   st.epoch,
+		States:  st.states,
+		Devices: make([]DeviceInfo, len(st.devices)),
 	}
-	for _, n := range s.reg.Nodes() {
-		state, _ := n.Breaker.Snapshot()
-		grids := make(map[string]int, len(n.Grids))
-		for name, g := range n.Grids {
-			grids[name] = len(g)
+	for i, d := range st.devices {
+		resp.Devices[i] = DeviceInfo{
+			DeviceID:       d.id,
+			Seed:           d.seed,
+			State:          d.state.String(),
+			Breaker:        d.breaker.String(),
+			CalGeneration:  d.calGen,
+			Recalibrations: d.recals,
+			Quarantines:    d.quarantines,
+			Samples:        d.samples,
+			Coverage:       d.coverage,
+			CacheEntries:   d.cacheSize,
+			Inflight:       d.inflight,
+			Grids:          d.grids,
 		}
-		samples := 0
-		var coverage units.Ratio
-		if cal := n.Cal(); cal != nil {
-			samples = len(cal.Samples)
-			coverage = units.Ratio(cal.Coverage.Fraction())
-		}
-		resp.States[n.State().String()]++
-		resp.Devices = append(resp.Devices, DeviceInfo{
-			DeviceID:       n.ID,
-			Seed:           n.Cfg.Seed,
-			State:          n.State().String(),
-			Breaker:        state.String(),
-			CalGeneration:  n.CalGeneration(),
-			Recalibrations: n.Recalibrations(),
-			Quarantines:    n.Quarantines(),
-			Samples:        samples,
-			Coverage:       coverage,
-			CacheEntries:   n.Cache.Len(),
-			Inflight:       n.Load(),
-			Grids:          grids,
-		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

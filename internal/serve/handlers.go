@@ -113,11 +113,12 @@ type PredictResponse struct {
 }
 
 // predictOn answers one predict request against one device's simulator
-// and calibration. Every failure is a client error (bad setting,
-// invalid workload), so callers map a non-nil error to a 400.
+// and the calibration model the caller loaded once for this request.
+// Every failure is a client error (bad setting, invalid workload), so
+// callers map a non-nil error to a 400.
 //
 //energylint:hotpath
-func (s *Server) predictOn(n *fleet.Node, req PredictRequest) (PredictResponse, error) {
+func (s *Server) predictOn(n *fleet.Node, m *core.Model, req PredictRequest) (PredictResponse, error) {
 	setting, err := s.resolveSetting(req.Setting, req.SettingID)
 	if err != nil {
 		return PredictResponse{}, err
@@ -134,13 +135,13 @@ func (s *Server) predictOn(n *fleet.Node, req PredictRequest) (PredictResponse, 
 		//energylint:allow hotalloc(client-error exit, not the per-request success path)
 		return PredictResponse{}, fmt.Errorf("negative time_s %g", t)
 	}
-	parts := n.Cal().Model.PredictParts(prof, setting, t)
+	parts := m.PredictParts(prof, setting, t)
 	return PredictResponse{
 		Setting:     settingInfo(setting),
 		TimeS:       t,
 		PredictedJ:  parts.Total(),
 		Parts:       partsJSON(parts),
-		ConstPowerW: n.Cal().Model.ConstPower(setting),
+		ConstPowerW: m.ConstPower(setting),
 	}, nil
 }
 
@@ -157,7 +158,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	release := node.Acquire()
 	defer release()
-	resp, err := s.predictOn(node, req)
+	resp, err := s.predictOn(node, node.Cal().Model, req)
 	if err != nil {
 		writeErrorDev(w, http.StatusBadRequest, err.Error(), node.ID)
 		return
@@ -459,28 +460,29 @@ func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	if node.Cal() == nil {
+	cal := node.Cal()
+	if cal == nil {
 		writeErrorDev(w, http.StatusServiceUnavailable, fmt.Sprintf("device %q is still calibrating", node.ID), node.ID)
 		return
 	}
 	markDevice(w, node.ID)
-	m := node.Cal().Model
+	m := cal.Model
 	resp := CalibrationResponse{
 		DeviceID: node.ID,
-		Samples:  len(node.Cal().Samples),
+		Samples:  len(cal.Samples),
 		Model: ModelJSON{
 			SPpJ: m.SPpJ, DPpJ: m.DPpJ, IntpJ: m.IntpJ, SMpJ: m.SMpJ,
 			L2pJ: m.L2pJ, DRAMpJ: m.DRAMpJ,
 			C1Proc: m.C1Proc, C1Mem: m.C1Mem, PMisc: m.PMisc,
 		},
-		Holdout: cvSummary(node.Cal().Holdout),
-		KFold:   cvSummary(node.Cal().KFold),
+		Holdout: cvSummary(cal.Holdout),
+		KFold:   cvSummary(cal.KFold),
 		Grids:   map[string]int{},
 	}
 	for name, grid := range node.Grids {
 		resp.Grids[name] = len(grid)
 	}
-	for _, row := range node.Cal().TableI() {
+	for _, row := range cal.TableI() {
 		resp.TableI = append(resp.TableI, TableIRow{
 			Type: row.Type, Setting: settingInfo(row.Setting),
 			SPpJ: row.Eps.SP, DPpJ: row.Eps.DP, IntpJ: row.Eps.Int,
@@ -504,24 +506,16 @@ func cvSummary(r core.CVResult) CVSummaryJSON {
 // calibrations. It stays 200 in degraded mode so orchestrators do not
 // restart a daemon that is usefully serving stale answers.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.legacy {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":  "ok",
-			"samples": len(s.reg.Nodes()[0].Cal().Samples),
-		})
-		return
-	}
+	st := s.status()
 	samples := 0
-	for _, n := range s.reg.Nodes() {
-		if cal := n.Cal(); cal != nil {
-			samples += len(cal.Samples)
-		}
+	for _, d := range st.devices {
+		samples += d.samples
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "ok",
-		"devices": s.reg.Len(),
-		"samples": samples,
-	})
+	body := map[string]any{"status": "ok", "samples": samples}
+	if !s.legacy {
+		body["devices"] = len(st.devices)
+	}
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleReadyz is readiness. Legacy mode keeps its historic contract:
@@ -531,59 +525,41 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // fleet worth routing to, and open breakers alone mean degraded cached
 // serving, not unreadiness.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	st := s.status()
 	if s.legacy {
-		node := s.reg.Nodes()[0]
-		state, _ := node.Breaker.Snapshot()
-		code := http.StatusOK
-		status := "ready"
-		if state == fleet.BreakerOpen {
-			code = http.StatusServiceUnavailable
-			status = "degraded"
+		d := st.devices[0]
+		code, status := http.StatusOK, "ready"
+		if d.breaker == fleet.BreakerOpen {
+			code, status = http.StatusServiceUnavailable, "degraded"
 		}
 		writeJSON(w, code, map[string]any{
 			"status":   status,
-			"breaker":  state.String(),
-			"samples":  len(node.Cal().Samples),
-			"coverage": node.Cal().Coverage.Fraction(),
+			"breaker":  d.breaker.String(),
+			"samples":  d.samples,
+			"coverage": d.coverage,
 		})
 		return
 	}
-	open := 0
-	states := make(map[string]int)
-	devices := make([]deviceReadiness, 0, s.reg.Len())
-	for _, n := range s.reg.Nodes() {
-		state, _ := n.Breaker.Snapshot()
-		if state == fleet.BreakerOpen {
-			open++
+	devices := make([]deviceReadiness, len(st.devices))
+	for i, d := range st.devices {
+		devices[i] = deviceReadiness{
+			DeviceID: d.id,
+			State:    d.state.String(),
+			Breaker:  d.breaker.String(),
+			Samples:  d.samples,
+			Coverage: d.coverage,
 		}
-		samples := 0
-		var coverage units.Ratio
-		if cal := n.Cal(); cal != nil {
-			samples = len(cal.Samples)
-			coverage = units.Ratio(cal.Coverage.Fraction())
-		}
-		states[n.State().String()]++
-		devices = append(devices, deviceReadiness{
-			DeviceID: n.ID,
-			State:    n.State().String(),
-			Breaker:  state.String(),
-			Samples:  samples,
-			Coverage: coverage,
-		})
 	}
-	active := len(s.reg.Active())
-	code := http.StatusOK
-	status := "ready"
-	if active == 0 {
-		code = http.StatusServiceUnavailable
-		status = "no-active-devices"
+	code, status := http.StatusOK, "ready"
+	if st.active == 0 {
+		code, status = http.StatusServiceUnavailable, "no-active-devices"
 	}
 	writeJSON(w, code, map[string]any{
 		"status":  status,
-		"epoch":   s.reg.Epoch(),
-		"active":  active,
-		"open":    open,
-		"states":  states,
+		"epoch":   st.epoch,
+		"active":  st.active,
+		"open":    st.open,
+		"states":  st.states,
 		"devices": devices,
 	})
 }
@@ -597,98 +573,12 @@ type deviceReadiness struct {
 	Coverage units.Ratio `json:"coverage"`
 }
 
+// handleMetrics renders /metrics from one status snapshot, after the
+// counter lock is released.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writeText(w)
-
-	// Per-device gauges. The legacy node's empty ID prints the historic
-	// unlabeled lines, so single-device scrape output is byte-identical.
-	deviceLine := func(name, id string, v any) {
-		if id == "" {
-			fmt.Fprintf(w, "%s %v\n", name, v)
-		} else {
-			fmt.Fprintf(w, "%s{device=%q} %v\n", name, id, v)
-		}
-	}
-	nodes := s.reg.Nodes()
-
-	fmt.Fprintln(w, "# HELP energyd_breaker_state Sweep circuit breaker state (0=closed, 1=half-open, 2=open).")
-	fmt.Fprintln(w, "# TYPE energyd_breaker_state gauge")
-	for _, n := range nodes {
-		state, _ := n.Breaker.Snapshot()
-		deviceLine("energyd_breaker_state", n.ID, int(state))
-	}
-	fmt.Fprintln(w, "# HELP energyd_breaker_opens_total Times the sweep breaker has opened.")
-	fmt.Fprintln(w, "# TYPE energyd_breaker_opens_total counter")
-	for _, n := range nodes {
-		_, opens := n.Breaker.Snapshot()
-		deviceLine("energyd_breaker_opens_total", n.ID, opens)
-	}
-
-	// Calibration gauges cover calibrated devices only: a runtime add
-	// still calibrating has no coverage to report yet.
-	fmt.Fprintln(w, "# HELP energyd_calibration_coverage_fraction Fraction of calibration samples measured (1 = complete).")
-	fmt.Fprintln(w, "# TYPE energyd_calibration_coverage_fraction gauge")
-	for _, n := range nodes {
-		if cal := n.Cal(); cal != nil {
-			deviceLine("energyd_calibration_coverage_fraction", n.ID, cal.Coverage.Fraction())
-		}
-	}
-	fmt.Fprintln(w, "# HELP energyd_calibration_retries_total Calibration measurement retries after transient faults.")
-	fmt.Fprintln(w, "# TYPE energyd_calibration_retries_total counter")
-	for _, n := range nodes {
-		if cal := n.Cal(); cal != nil {
-			deviceLine("energyd_calibration_retries_total", n.ID, cal.Coverage.Retried)
-		}
-	}
-	fmt.Fprintln(w, "# HELP energyd_calibration_quarantined_total Calibration samples quarantined after permanent faults.")
-	fmt.Fprintln(w, "# TYPE energyd_calibration_quarantined_total counter")
-	for _, n := range nodes {
-		if cal := n.Cal(); cal != nil {
-			deviceLine("energyd_calibration_quarantined_total", n.ID, len(cal.Coverage.Quarantined))
-		}
-	}
-	fmt.Fprintln(w, "# HELP energyd_calibration_screened_outliers_total Calibration samples excluded from the fit by the robust outlier screen.")
-	fmt.Fprintln(w, "# TYPE energyd_calibration_screened_outliers_total counter")
-	for _, n := range nodes {
-		if cal := n.Cal(); cal != nil {
-			deviceLine("energyd_calibration_screened_outliers_total", n.ID, cal.Coverage.ScreenedOutliers)
-		}
-	}
-
-	if !s.legacy {
-		fmt.Fprintln(w, "# HELP energyd_fleet_devices Devices in the serving fleet.")
-		fmt.Fprintln(w, "# TYPE energyd_fleet_devices gauge")
-		fmt.Fprintf(w, "energyd_fleet_devices %d\n", s.reg.Len())
-		fmt.Fprintln(w, "# HELP energyd_fleet_epoch Registry membership generation; moves on every add, remove, and state change.")
-		fmt.Fprintln(w, "# TYPE energyd_fleet_epoch counter")
-		fmt.Fprintf(w, "energyd_fleet_epoch %d\n", s.reg.Epoch())
-		fmt.Fprintln(w, "# HELP energyd_device_inflight_requests Requests currently holding each device.")
-		fmt.Fprintln(w, "# TYPE energyd_device_inflight_requests gauge")
-		for _, n := range nodes {
-			deviceLine("energyd_device_inflight_requests", n.ID, n.Load())
-		}
-		fmt.Fprintln(w, "# HELP energyd_device_state Membership lifecycle state (0=active, 1=calibrating, 2=draining, 3=drained, 4=quarantined, 5=probing, 6=removed).")
-		fmt.Fprintln(w, "# TYPE energyd_device_state gauge")
-		for _, n := range nodes {
-			deviceLine("energyd_device_state", n.ID, int(n.State()))
-		}
-		fmt.Fprintln(w, "# HELP energyd_device_cal_generation Calibration generation: 1 from boot, +1 per drift recalibration.")
-		fmt.Fprintln(w, "# TYPE energyd_device_cal_generation counter")
-		for _, n := range nodes {
-			deviceLine("energyd_device_cal_generation", n.ID, n.CalGeneration())
-		}
-		fmt.Fprintln(w, "# HELP energyd_device_quarantines_total Times the health loop has quarantined each device.")
-		fmt.Fprintln(w, "# TYPE energyd_device_quarantines_total counter")
-		for _, n := range nodes {
-			deviceLine("energyd_device_quarantines_total", n.ID, n.Quarantines())
-		}
-		fmt.Fprintln(w, "# HELP energyd_device_recalibrations_total Completed drift recalibrations per device.")
-		fmt.Fprintln(w, "# TYPE energyd_device_recalibrations_total counter")
-		for _, n := range nodes {
-			deviceLine("energyd_device_recalibrations_total", n.ID, n.Recalibrations())
-		}
-	}
+	st := s.status()
+	writeMetrics(w, &st)
 }
 
 // resolveSetting maps the request's setting selector onto the board's

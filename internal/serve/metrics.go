@@ -3,16 +3,19 @@ package serve
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// metrics is a hand-rolled Prometheus registry: the daemon exposes the
-// standard text exposition format (version 0.0.4) without pulling in a
-// client library. It tracks per-endpoint request counts by status code,
-// a fixed-bucket latency histogram, the autotune cache hit/miss
-// counters keyed by device, and an in-flight request gauge. All methods
-// are safe for concurrent use.
+// metrics holds the serving counters: per-endpoint request counts by
+// status code, a fixed-bucket latency histogram, the autotune cache
+// counters and energy ledgers keyed by device, and an in-flight request
+// gauge. All methods are safe for concurrent use. The status views read
+// it only through snapshot, and writeMetrics renders the copy in the
+// Prometheus text exposition format (version 0.0.4) without pulling in
+// a client library.
 type metrics struct {
 	mu        sync.Mutex
 	inflight  int                         // guarded by mu
@@ -115,10 +118,12 @@ func (m *metrics) addAnsweredJoules(dev string, j float64) {
 	m.mu.Unlock()
 }
 
-// countersSnapshot is a deep copy of the registry's counter maps, taken
-// under one lock acquisition so the numbers are mutually consistent.
+// countersSnapshot is a deep copy of the counters, taken under one
+// lock acquisition so the numbers are mutually consistent and the
+// status views render them after the lock is released.
 type countersSnapshot struct {
-	endpoints map[string]map[int]uint64 // endpoint -> status code -> count
+	inflight  int
+	endpoints map[string]endpointMetrics
 	hits      map[string]uint64
 	misses    map[string]uint64
 	degraded  map[string]uint64
@@ -126,58 +131,22 @@ type countersSnapshot struct {
 	answeredJ map[string]float64
 }
 
-// snapshot copies every counter for the /v1/stats endpoint (and the
-// load-harness report built on it).
 func (m *metrics) snapshot() countersSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := countersSnapshot{
-		endpoints: make(map[string]map[int]uint64, len(m.endpoints)),
-		hits:      copyCounter(m.hits),
-		misses:    copyCounter(m.misses),
-		degraded:  copyCounter(m.degraded),
-		sweepJ:    copyLedger(m.sweepJ),
-		answeredJ: copyLedger(m.answeredJ),
+	c := countersSnapshot{
+		inflight:  m.inflight,
+		endpoints: make(map[string]endpointMetrics, len(m.endpoints)),
+		hits:      maps.Clone(m.hits),
+		misses:    maps.Clone(m.misses),
+		degraded:  maps.Clone(m.degraded),
+		sweepJ:    maps.Clone(m.sweepJ),
+		answeredJ: maps.Clone(m.answeredJ),
 	}
 	for ep, e := range m.endpoints {
-		codes := make(map[int]uint64, len(e.codes))
-		for c, n := range e.codes {
-			codes[c] = n
-		}
-		s.endpoints[ep] = codes
+		c.endpoints[ep] = endpointMetrics{codes: maps.Clone(e.codes), buckets: slices.Clone(e.buckets), sum: e.sum, count: e.count}
 	}
-	return s
-}
-
-func copyCounter(c map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
-func copyLedger(c map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
-// cacheCounts returns the fleet-wide cache counters (exposed for tests).
-func (m *metrics) cacheCounts() (hits, misses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sumCounter(m.hits), sumCounter(m.misses)
-}
-
-// degradedCount returns the fleet-wide degraded-serving counter
-// (exposed for tests).
-func (m *metrics) degradedCount() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sumCounter(m.degraded)
+	return c
 }
 
 func sumCounter(c map[string]uint64) uint64 {
@@ -188,30 +157,76 @@ func sumCounter(c map[string]uint64) uint64 {
 	return total
 }
 
-// writeText renders the registry in the Prometheus text format, with
-// deterministic ordering so the output is diffable.
-func (m *metrics) writeText(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// Row sets of a per-device /metrics family.
+const (
+	everyDevice       = iota // one line per device
+	calibratedDevices        // devices with a calibration to report on
+	fleetDevices             // one line per device, fleet mode only
+	fleetTotal               // one unlabeled line, fleet mode only
+)
 
-	fmt.Fprintln(w, "# HELP energyd_requests_total Completed HTTP requests by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE energyd_requests_total counter")
-	for _, ep := range sortedKeys(m.endpoints) {
-		e := m.endpoints[ep]
+// deviceFamilies are the /metrics families read from the fleet status
+// rather than the counters, in exposition order. value returns the
+// line's value, printed with %v; fleetTotal families get a nil device.
+var deviceFamilies = []struct {
+	name, help, typ string
+	rows            int
+	value           func(st *fleetStatus, d *deviceStatus) any
+}{
+	{"energyd_breaker_state", "Sweep circuit breaker state (0=closed, 1=half-open, 2=open).", "gauge", everyDevice,
+		func(_ *fleetStatus, d *deviceStatus) any { return int(d.breaker) }},
+	{"energyd_breaker_opens_total", "Times the sweep breaker has opened.", "counter", everyDevice,
+		func(_ *fleetStatus, d *deviceStatus) any { return d.opens }},
+	// A runtime add still calibrating has no coverage to report yet.
+	{"energyd_calibration_coverage_fraction", "Fraction of calibration samples measured (1 = complete).", "gauge", calibratedDevices,
+		func(_ *fleetStatus, d *deviceStatus) any { return d.coverage }},
+	{"energyd_calibration_retries_total", "Calibration measurement retries after transient faults.", "counter", calibratedDevices,
+		func(_ *fleetStatus, d *deviceStatus) any { return d.cal.Coverage.Retried }},
+	{"energyd_calibration_quarantined_total", "Calibration samples quarantined after permanent faults.", "counter", calibratedDevices,
+		func(_ *fleetStatus, d *deviceStatus) any { return len(d.cal.Coverage.Quarantined) }},
+	{"energyd_calibration_screened_outliers_total", "Calibration samples excluded from the fit by the robust outlier screen.", "counter", calibratedDevices,
+		func(_ *fleetStatus, d *deviceStatus) any { return d.cal.Coverage.ScreenedOutliers }},
+	{"energyd_fleet_devices", "Devices in the serving fleet.", "gauge", fleetTotal,
+		func(st *fleetStatus, _ *deviceStatus) any { return len(st.devices) }},
+	{"energyd_fleet_epoch", "Registry membership generation; moves on every add, remove, and state change.", "counter", fleetTotal,
+		func(st *fleetStatus, _ *deviceStatus) any { return st.epoch }},
+	{"energyd_device_inflight_requests", "Requests currently holding each device.", "gauge", fleetDevices,
+		func(_ *fleetStatus, d *deviceStatus) any { return d.inflight }},
+	{"energyd_device_state", "Membership lifecycle state (0=active, 1=calibrating, 2=draining, 3=drained, 4=quarantined, 5=probing, 6=removed).", "gauge", fleetDevices,
+		func(_ *fleetStatus, d *deviceStatus) any { return int(d.state) }},
+	{"energyd_device_cal_generation", "Calibration generation: 1 from boot, +1 per drift recalibration.", "counter", fleetDevices,
+		func(_ *fleetStatus, d *deviceStatus) any { return d.calGen }},
+	{"energyd_device_quarantines_total", "Times the health loop has quarantined each device.", "counter", fleetDevices,
+		func(_ *fleetStatus, d *deviceStatus) any { return d.quarantines }},
+	{"energyd_device_recalibrations_total", "Completed drift recalibrations per device.", "counter", fleetDevices,
+		func(_ *fleetStatus, d *deviceStatus) any { return d.recals }},
+}
+
+// writeMetrics renders one status snapshot in the Prometheus text
+// format, in deterministic order so the output is diffable. The legacy
+// node's empty ID prints unlabeled lines, so single-device scrapes keep
+// the pre-fleet bytes.
+func writeMetrics(w io.Writer, st *fleetStatus) {
+	header := func(name, help, typ string) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	}
+	c := &st.counters
+	endpoints := sortedKeys(c.endpoints)
+	header("energyd_requests_total", "Completed HTTP requests by endpoint and status code.", "counter")
+	for _, ep := range endpoints {
+		e := c.endpoints[ep]
 		codes := make([]int, 0, len(e.codes))
-		for c := range e.codes {
-			codes = append(codes, c)
+		for code := range e.codes {
+			codes = append(codes, code)
 		}
 		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(w, "energyd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, e.codes[c])
+		for _, code := range codes {
+			fmt.Fprintf(w, "energyd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, code, e.codes[code])
 		}
 	}
-
-	fmt.Fprintln(w, "# HELP energyd_request_duration_seconds Request latency by endpoint.")
-	fmt.Fprintln(w, "# TYPE energyd_request_duration_seconds histogram")
-	for _, ep := range sortedKeys(m.endpoints) {
-		e := m.endpoints[ep]
+	header("energyd_request_duration_seconds", "Request latency by endpoint.", "histogram")
+	for _, ep := range endpoints {
+		e := c.endpoints[ep]
 		for i, le := range latencyBuckets {
 			fmt.Fprintf(w, "energyd_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
 				ep, fmt.Sprintf("%g", le), e.buckets[i])
@@ -221,36 +236,51 @@ func (m *metrics) writeText(w io.Writer) {
 		fmt.Fprintf(w, "energyd_request_duration_seconds_count{endpoint=%q} %d\n", ep, e.count)
 	}
 
-	// Cache counters: the fleet-wide total first (the pre-fleet line, so
-	// single-device scrapes are byte-identical), then per named device.
-	counter := func(name, help string, c map[string]uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-		fmt.Fprintf(w, "# TYPE %s counter\n", name)
-		fmt.Fprintf(w, "%s %d\n", name, sumCounter(c))
-		devs := make([]string, 0, len(c))
-		for d := range c {
-			if d != "" {
-				devs = append(devs, d)
+	// Cache counters come from the counter maps, which keep a removed
+	// device's counts: the fleet-wide total first (the pre-fleet line),
+	// then one line per named device.
+	for _, f := range []struct {
+		name, help string
+		counts     map[string]uint64
+	}{
+		{"energyd_autotune_cache_hits_total", "Autotune requests answered from the sweep cache (including joined in-flight sweeps).", c.hits},
+		{"energyd_autotune_cache_misses_total", "Autotune requests that ran a fresh sweep.", c.misses},
+		{"energyd_autotune_degraded_total", "Autotune requests served stale from cache while the breaker was open.", c.degraded},
+	} {
+		header(f.name, f.help, "counter")
+		fmt.Fprintf(w, "%s %d\n", f.name, sumCounter(f.counts))
+		for _, dev := range sortedKeys(f.counts) {
+			if dev != "" {
+				fmt.Fprintf(w, "%s{device=%q} %d\n", f.name, dev, f.counts[dev])
 			}
 		}
-		sort.Strings(devs)
-		for _, d := range devs {
-			fmt.Fprintf(w, "%s{device=%q} %d\n", name, d, c[d])
+	}
+	header("energyd_inflight_requests", "Requests currently being served.", "gauge")
+	fmt.Fprintf(w, "energyd_inflight_requests %d\n", c.inflight)
+
+	for _, f := range deviceFamilies {
+		if st.legacy && (f.rows == fleetDevices || f.rows == fleetTotal) {
+			continue
+		}
+		header(f.name, f.help, f.typ)
+		if f.rows == fleetTotal {
+			fmt.Fprintf(w, "%s %v\n", f.name, f.value(st, nil))
+			continue
+		}
+		for i := range st.devices {
+			d := &st.devices[i]
+			switch {
+			case f.rows == calibratedDevices && d.cal == nil:
+			case d.id == "":
+				fmt.Fprintf(w, "%s %v\n", f.name, f.value(st, d))
+			default:
+				fmt.Fprintf(w, "%s{device=%q} %v\n", f.name, d.id, f.value(st, d))
+			}
 		}
 	}
-	counter("energyd_autotune_cache_hits_total",
-		"Autotune requests answered from the sweep cache (including joined in-flight sweeps).", m.hits)
-	counter("energyd_autotune_cache_misses_total",
-		"Autotune requests that ran a fresh sweep.", m.misses)
-	counter("energyd_autotune_degraded_total",
-		"Autotune requests served stale from cache while the breaker was open.", m.degraded)
-
-	fmt.Fprintln(w, "# HELP energyd_inflight_requests Requests currently being served.")
-	fmt.Fprintln(w, "# TYPE energyd_inflight_requests gauge")
-	fmt.Fprintf(w, "energyd_inflight_requests %d\n", m.inflight)
 }
 
-func sortedKeys(m map[string]*endpointMetrics) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -232,7 +232,8 @@ func TestAutotunePicksAndCache(t *testing.T) {
 		t.Errorf("cached answer differs: %+v vs %+v", first, second)
 	}
 
-	hits, misses := s.metrics.cacheCounts()
+	c := s.metrics.snapshot()
+	hits, misses := sumCounter(c.hits), sumCounter(c.misses)
 	if hits != 1 || misses != 1 {
 		t.Errorf("cache hits/misses = %d/%d, want 1/1", hits, misses)
 	}
@@ -261,7 +262,8 @@ func TestAutotuneSingleflight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, misses := s.metrics.cacheCounts()
+	c := s.metrics.snapshot()
+	hits, misses := sumCounter(c.hits), sumCounter(c.misses)
 	if misses != 1 {
 		t.Errorf("misses = %d, want exactly 1 executed sweep", misses)
 	}

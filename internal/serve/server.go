@@ -17,7 +17,9 @@
 //	                         argmin measured energy across the fleet
 //	GET  /v1/fleet/devices — fleet inventory with per-device health
 //	GET  /healthz          — liveness
-//	GET  /readyz           — readiness; 503 while no device can sweep
+//	GET  /readyz           — readiness: one device, 503 while its
+//	                         breaker is open; a fleet, 503 only at zero
+//	                         active devices
 //	GET  /metrics          — Prometheus text format (hand-rolled)
 //	GET  /v1/stats         — the same counters as JSON: per-device
 //	                         breaker/cache/energy ledgers, per-endpoint
@@ -41,8 +43,10 @@
 // A per-device circuit breaker guards each sweep path: consecutive
 // sweep failures open it, after which that device answers autotunes
 // from its stale sweep cache with "degraded": true (or 503 on a cache
-// miss) instead of queueing more doomed sweeps, and /readyz reports 503
-// once no device can accept fresh sweeps while /healthz stays 200.
+// miss) instead of queueing more doomed sweeps. /healthz stays 200
+// throughout. /readyz reports 503 while a single-device server's
+// breaker is open; a fleet reports 503 only once no device is active,
+// since open breakers there mean degraded cached serving and failover.
 package serve
 
 import (

@@ -275,7 +275,7 @@ func TestHugeSweepTimeoutGetsServerCap(t *testing.T) {
 func TestSweepFailureReasonWorkerInvariant(t *testing.T) {
 	plan := faults.Plan{Seed: 6, MeterDisconnect: 0.5}
 	bodies := func(workers int) (string, string) {
-		h := heterogeneousFleetCfg(t, experiments.Config{Seed: 42, Workers: workers, Faults: plan}).Handler()
+		h := heterogeneousFleetCfg(t, experiments.Config{Seed: 42, Workers: workers, Faults: plan}, serve.Options{}).Handler()
 		auto := post(t, h, "/v1/autotune", `{"profile": {"sp": 4e8}, "occupancy": 0.5, "grid": "full"}`)
 		if auto.Code != http.StatusInternalServerError {
 			t.Fatalf("full-grid autotune under faults = %d, want 500: %s", auto.Code, auto.Body)
