@@ -83,7 +83,7 @@ func (a *App) Validate() error {
 	if a.Seed <= 0 {
 		return fmt.Errorf("invalid -seed %d: must be positive", a.Seed)
 	}
-	if a.MinCoverage <= 0 || a.MinCoverage > 1 {
+	if !(a.MinCoverage > 0 && a.MinCoverage <= 1) { // also rejects NaN
 		return fmt.Errorf("invalid -min-coverage %g: must be in (0, 1]", a.MinCoverage)
 	}
 	plan, err := faults.ParsePlan(a.FaultSpec)

@@ -134,6 +134,11 @@ func TestAppValidate(t *testing.T) {
 		{"negative seed", func(a *App) { a.Seed = -7 }},
 		{"zero coverage", func(a *App) { a.MinCoverage = 0 }},
 		{"coverage above one", func(a *App) { a.MinCoverage = 1.01 }},
+		{"NaN coverage", func(a *App) { a.MinCoverage = math.NaN() }},
+		{"infinite coverage", func(a *App) { a.MinCoverage = math.Inf(1) }},
+		{"NaN fault probability", func(a *App) { a.FaultSpec = "disconnect=NaN" }},
+		{"NaN spike factor", func(a *App) { a.FaultSpec = "spike=1,spike-factor=NaN" }},
+		{"infinite fault probability", func(a *App) { a.FaultSpec = "dvfs=inf" }},
 		{"bad fault spec", func(a *App) { a.FaultSpec = "dropout=nope" }},
 		{"out-of-range fault", func(a *App) { a.FaultSpec = "spike=2" }},
 	}

@@ -178,7 +178,7 @@ func Calibrate(ctx context.Context, dev *tegra.Device, cfg Config) (*Calibration
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	minCov := cfg.minCoverage()
-	if minCov <= 0 || minCov > 1 {
+	if !(minCov > 0 && minCov <= 1) { // also rejects NaN, which would disable the gate
 		return nil, fmt.Errorf("experiments: min coverage %g outside (0, 1]", cfg.MinCoverage)
 	}
 	runner := &microbench.Runner{
@@ -659,7 +659,7 @@ func Figure5(ctx context.Context, dev *tegra.Device, model *core.Model, runs []*
 	out := &Figure5Result{Cases: make([]FMMCase, len(settings)*len(runs))}
 	err := forEach(ctx, cfg, "figure5", len(out.Cases), func(i int) error {
 		si, ri := i/len(runs), i%len(runs)
-		meter, err := cfg.NewMeter(deriveSeed(cfg.Seed+5, int64(si), int64(ri)))
+		meter, err := cfg.NewMeter(stats.MixSeed(cfg.Seed+5, int64(si), int64(ri)))
 		if err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}

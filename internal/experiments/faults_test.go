@@ -162,6 +162,15 @@ func TestCalibrateCoverageGate(t *testing.T) {
 	if !strings.Contains(err.Error(), "coverage") {
 		t.Errorf("gate error %q does not mention coverage", err)
 	}
+
+	// A non-finite floor must not switch the gate off.
+	for _, floor := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg.MinCoverage = floor
+		_, err := Calibrate(context.Background(), dev, cfg)
+		if err == nil || !strings.Contains(err.Error(), "coverage") {
+			t.Errorf("min coverage %g: got %v, want a coverage error", floor, err)
+		}
+	}
 }
 
 func TestCalibrateRejectsBadFaultPlan(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-
-	"dvfsroofline/internal/stats"
 )
 
 // This file is the experiment layer's concurrency substrate. Every
@@ -14,7 +12,7 @@ import (
 // pool and writes results into pre-indexed slots, so the outcome is
 // byte-identical for any worker count. Randomness stays deterministic
 // because every unit derives its own seed from the unit's identity
-// (deriveSeed, microbench.SampleSeed) rather than from a shared stream.
+// (stats.MixSeed, microbench.SampleSeed) rather than from a shared stream.
 
 // Progress is one pipeline progress update.
 type Progress struct {
@@ -116,11 +114,4 @@ func forEach(ctx context.Context, cfg Config, stage string, n int, task func(i i
 		return firstErr
 	}
 	return parent.Err()
-}
-
-// deriveSeed mixes a base seed with stream indices (FNV-1a over the bit
-// patterns) so that every pipelined unit of work owns an independent
-// random stream tied to its identity, not to execution order.
-func deriveSeed(base int64, idx ...int64) int64 {
-	return stats.MixSeed(base, idx...)
 }

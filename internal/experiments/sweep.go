@@ -9,83 +9,35 @@ import (
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/faults"
-	"dvfsroofline/internal/powermon"
+	"dvfsroofline/internal/microbench"
+	"dvfsroofline/internal/stats"
 	"dvfsroofline/internal/tegra"
 	"dvfsroofline/internal/units"
 )
 
 // measureCandidate executes one fixed workload at one setting on one
-// device and integrates a simulated PowerMon trace, producing the sweep
-// candidate for that grid point. Short executions are repeated
-// back-to-back until they fill a measurable window, exactly as the
-// paper's microbenchmark harness repeats short kernels, and the
-// integrated energy is divided by the repetition count. The
-// measurement-noise seed derives from cfg.Seed and the setting's
-// identity — never from scheduling order — so any sweep built from
-// these units is byte-identical at any worker count. Under an active
-// cfg.Faults plan, transient failures retry per cfg.Retry.
+// device and measures it with microbench.Measure, producing the sweep
+// candidate for that grid point. The measurement is keyed on cfg.Seed
+// and the setting's identity — never on scheduling order — so any sweep
+// built from these units is byte-identical at any worker count. Under
+// an active cfg.Faults plan, transient failures retry per cfg.Retry.
 func measureCandidate(ctx context.Context, dev *tegra.Device, cfg Config, w tegra.Workload, s dvfs.Setting) (core.Candidate, error) {
 	exec := dev.Execute(w, s)
-	key := deriveSeed(cfg.Seed+9,
+	key := stats.MixSeed(cfg.Seed+9,
 		int64(math.Float64bits(float64(s.Core.FreqMHz))), int64(math.Float64bits(float64(s.Core.VoltageMV))),
 		int64(math.Float64bits(float64(s.Mem.FreqMHz))), int64(math.Float64bits(float64(s.Mem.VoltageMV))))
-	var meas powermon.Measurement
-	var reps float64
+	var energy units.Joule
 	_, err := faults.Do(ctx, cfg.Retry, func(attempt int) error {
-		inj := cfg.Faults.ForSample(key, attempt)
-		if inj != nil {
-			if err := inj.DVFSTransition(); err != nil {
-				return fmt.Errorf("experiments: sweep at %v: %w", s, err)
-			}
-		}
-		mcfg := cfg.meterConfig()
-		if inj != nil {
-			mcfg.Faults = inj
-		}
-		seed := key
-		if attempt > 0 {
-			seed = deriveSeed(key, int64(attempt))
-		}
-		meter, err := powermon.NewMeter(mcfg, seed)
-		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-		// Repeat the execution periodically until the run is long enough
-		// for the meter to integrate a stable sample count.
-		reps = 1.0
-		if min := meter.MinDuration(16); exec.Time < min {
-			reps = math.Ceil(float64(min / exec.Time))
-		}
-		// Throttle windows land inside one execution period and repeat
-		// with it, so their relative energy effect is the same whether
-		// the run needed repetition or not.
-		trace := exec.PowerAt
-		if inj != nil {
-			trace = exec.ThrottledTrace(inj.ThrottleWindows(exec.Time))
-		}
-		if reps > 1 {
-			period := float64(exec.Time)
-			inner := trace
-			trace = func(t units.Second) units.Watt {
-				return inner(units.Second(math.Mod(float64(t), period)))
-			}
-		}
-		m, err := meter.Measure(trace, units.Second(reps*float64(exec.Time)))
-		if err != nil {
+		var err error
+		if energy, _, err = microbench.Measure(exec, cfg.Meter, cfg.Faults, key, attempt); err != nil {
 			return fmt.Errorf("experiments: sweep at %v: %w", s, err)
 		}
-		meas = m
 		return nil
 	})
 	if err != nil {
 		return core.Candidate{}, err
 	}
-	return core.Candidate{
-		Setting:        s,
-		Profile:        w.Profile,
-		Time:           exec.Time,
-		MeasuredEnergy: units.Joule(float64(meas.Energy) / reps),
-	}, nil
+	return core.Candidate{Setting: s, Profile: w.Profile, Time: exec.Time, MeasuredEnergy: energy}, nil
 }
 
 // SweepWorkload measures one fixed workload at every setting of grid:

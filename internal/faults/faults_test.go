@@ -49,6 +49,10 @@ func TestParsePlan(t *testing.T) {
 		"dvfs-latency=3", // missing duration unit
 		"throttle-factor=2",
 		"spike-factor=-1",
+		"dropout=NaN", "spike=NaN", "disconnect=NaN", "dvfs=NaN", "throttle=NaN",
+		"dvfs=inf", "throttle=-inf",
+		"spike=1,spike-factor=NaN", "spike-factor=inf",
+		"throttle-factor=NaN", "throttle-fraction=NaN", "throttle-fraction=inf",
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted a bad spec", bad)

@@ -243,27 +243,6 @@ func SampleSeed(seed int64, b Benchmark, s dvfs.Setting) int64 {
 		int64(math.Float64bits(float64(s.Mem.VoltageMV))))
 }
 
-// meterFor returns the fresh, deterministically seeded meter that
-// measures one attempt of the (b, s) sample. Attempt 0 draws the seed
-// the identity alone defines — the fault-free path is byte-identical
-// with or without an (inactive) plan — while retries remix the attempt
-// number so a re-measurement redraws its noise instead of replaying the
-// corrupted stream.
-func (r *Runner) meterFor(b Benchmark, s dvfs.Setting, attempt int, inj *faults.Injector) (*powermon.Meter, error) {
-	cfg := r.MeterConfig
-	if cfg == (powermon.Config{}) {
-		cfg = powermon.DefaultConfig()
-	}
-	if inj != nil {
-		cfg.Faults = inj
-	}
-	seed := SampleSeed(r.Seed, b, s)
-	if attempt > 0 {
-		seed = stats.MixSeed(seed, int64(attempt))
-	}
-	return powermon.NewMeter(cfg, seed)
-}
-
 // Run sizes, executes and measures one benchmark at one setting. The
 // stream is sized so the run fills the measurement window at s.
 func (r *Runner) Run(b Benchmark, s dvfs.Setting) (Sample, error) {
@@ -294,29 +273,14 @@ func (r *Runner) RunSized(b Benchmark, elements float64, s dvfs.Setting) (Sample
 	return r.RunSizedAttempt(b, elements, s, 0)
 }
 
-// RunSizedAttempt is RunSized for one retry attempt. The attempt's
-// injector (derived from the plan, the sample identity and the attempt
-// number) gates the DVFS transition, may throttle the execution's power
-// trace, and rides along into the meter to corrupt or abort the
-// sampling session. Injected failures are transient (faults.IsTransient)
-// so callers can retry with the next attempt number.
+// RunSizedAttempt is RunSized for one retry attempt: it executes the
+// benchmark and measures the execution with Measure, keyed on the
+// sample's identity (SampleSeed). Injected failures are transient
+// (faults.IsTransient) so callers can retry with the next attempt
+// number.
 func (r *Runner) RunSizedAttempt(b Benchmark, elements float64, s dvfs.Setting, attempt int) (Sample, error) {
-	inj := r.Faults.ForSample(SampleSeed(r.Seed, b, s), attempt)
-	if inj != nil {
-		if err := inj.DVFSTransition(); err != nil {
-			return Sample{}, fmt.Errorf("microbench: switching to %v for %v: %w", s, b, err)
-		}
-	}
 	exec := r.Device.Execute(b.Workload(elements), s)
-	trace := exec.PowerAt
-	if inj != nil {
-		trace = exec.ThrottledTrace(inj.ThrottleWindows(exec.Time))
-	}
-	meter, err := r.meterFor(b, s, attempt, inj)
-	if err != nil {
-		return Sample{}, fmt.Errorf("microbench: %w", err)
-	}
-	meas, err := meter.Measure(trace, exec.Time)
+	energy, power, err := Measure(exec, r.MeterConfig, r.Faults, SampleSeed(r.Seed, b, s), attempt)
 	if err != nil {
 		return Sample{}, fmt.Errorf("microbench: measuring %v at %v: %w", b, s, err)
 	}
@@ -325,9 +289,62 @@ func (r *Runner) RunSizedAttempt(b Benchmark, elements float64, s dvfs.Setting, 
 		Setting:  s,
 		Workload: exec.Workload,
 		Time:     exec.Time,
-		Energy:   meas.Energy,
-		Power:    meas.MeanPower,
+		Energy:   energy,
+		Power:    power,
 	}, nil
+}
+
+// Measure is the one measurement protocol: calibration samples and
+// Table II points (through Runner) and energyd's sweeps
+// (experiments.SweepWorkload) all integrate their executions here. It
+// returns the energy and mean power of one execution.
+//
+// The plan's injector for (key, attempt) gates the DVFS transition,
+// throttles the trace and rides along into the meter. The meter is
+// seeded with key on attempt 0 — so an inactive plan leaves the clean
+// path byte-identical — and with key remixed by the attempt number on
+// retries, which redraw their noise instead of replaying it. key must
+// derive from the unit's identity, never its position, for results to
+// be order- and worker-count-independent. The zero cfg selects
+// powermon.DefaultConfig(). An execution shorter than 16 meter samples
+// is repeated back to back until it fills them, as the paper's harness
+// repeats short kernels, and the energy is divided by the repetitions.
+func Measure(exec tegra.Execution, cfg powermon.Config, plan faults.Plan, key int64, attempt int) (units.Joule, units.Watt, error) {
+	if cfg == (powermon.Config{}) {
+		cfg = powermon.DefaultConfig()
+	}
+	trace := exec.PowerAt
+	if inj := plan.ForSample(key, attempt); inj != nil {
+		if err := inj.DVFSTransition(); err != nil {
+			return 0, 0, err
+		}
+		// Throttle windows land inside one execution period and repeat
+		// with it, so their relative energy effect is the same whether
+		// the run needs repetition or not.
+		trace = exec.ThrottledTrace(inj.ThrottleWindows(exec.Time))
+		cfg.Faults = inj
+	}
+	seed := key
+	if attempt > 0 {
+		seed = stats.MixSeed(key, int64(attempt))
+	}
+	meter, err := powermon.NewMeter(cfg, seed)
+	if err != nil {
+		return 0, 0, err
+	}
+	reps := 1.0
+	if min := meter.MinDuration(16); exec.Time < min {
+		reps = math.Ceil(float64(min / exec.Time))
+		period, inner := float64(exec.Time), trace
+		trace = func(t units.Second) units.Watt {
+			return inner(units.Second(math.Mod(float64(t), period)))
+		}
+	}
+	meas, err := meter.Measure(trace, units.Second(reps*float64(exec.Time)))
+	if err != nil {
+		return 0, 0, err
+	}
+	return units.Joule(float64(meas.Energy) / reps), meas.MeanPower, nil
 }
 
 // RunSuite measures every benchmark at every setting, in order

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"dvfsroofline/internal/dvfs"
+	"dvfsroofline/internal/faults"
+	"dvfsroofline/internal/powermon"
 	"dvfsroofline/internal/tegra"
+	"dvfsroofline/internal/units"
 )
 
 func TestSuiteSizeMatchesPaper(t *testing.T) {
@@ -246,11 +249,55 @@ func TestRunSizedKeepsWorkloadFixed(t *testing.T) {
 	}
 }
 
-func TestRunSizedTooSmallErrors(t *testing.T) {
-	// A microscopic workload finishes between meter samples and cannot
-	// be measured.
-	r := &Runner{Device: tegra.NewDevice(), Seed: 11}
-	if _, err := r.RunSized(Benchmark{Kind: Single, Intensity: 1}, 10, dvfs.MaxSetting()); err == nil {
-		t.Error("unmeasurably short run accepted")
+func TestRunSizedRepeatsShortRun(t *testing.T) {
+	// A microscopic workload finishes between meter samples; Measure
+	// repeats it back to back until it fills a measurable window and
+	// reports one execution's energy.
+	dev := tegra.NewDevice()
+	r := &Runner{Device: dev, Seed: 11}
+	s := dvfs.MaxSetting()
+	smp, err := r.RunSized(Benchmark{Kind: Single, Intensity: 1}, 10, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := dev.Execute(smp.Workload, s)
+	if exec.Time >= 1/1024.0 {
+		t.Fatalf("run of %v s is not shorter than one meter sample", exec.Time)
+	}
+	if rel := math.Abs(float64(smp.Energy-exec.TrueEnergy())) / float64(exec.TrueEnergy()); rel > 0.12 {
+		t.Errorf("repeated short run measured %v J vs true %v J (rel %.3f)", smp.Energy, exec.TrueEnergy(), rel)
+	}
+	if rel := math.Abs(float64(smp.Power-exec.TruePower())) / float64(exec.TruePower()); rel > 0.12 {
+		t.Errorf("repeated short run measured %v W vs true %v W (rel %.3f)", smp.Power, exec.TruePower(), rel)
+	}
+}
+
+func TestMeasureKeyAndAttempt(t *testing.T) {
+	exec := tegra.NewDevice().Execute(Benchmark{Kind: Double, Intensity: 8}.Workload(1e7), dvfs.MaxSetting())
+	measure := func(plan faults.Plan, key int64, attempt int) units.Joule {
+		t.Helper()
+		e, _, err := Measure(exec, powermon.Config{}, plan, key, attempt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	ref := measure(faults.Plan{}, 5, 0)
+	if again := measure(faults.Plan{}, 5, 0); again != ref {
+		t.Errorf("same key and attempt measured %v then %v", ref, again)
+	}
+	// An inactive plan injects nothing: attempt 0 is the clean path.
+	if got := measure(faults.Plan{Seed: 3}, 5, 0); got != ref {
+		t.Errorf("inactive plan measured %v, clean %v", got, ref)
+	}
+	if got := measure(faults.Plan{}, 5, 1); got == ref {
+		t.Error("a retry replayed attempt 0's noise")
+	}
+	if got := measure(faults.Plan{}, 6, 0); got == ref {
+		t.Error("two keys drew the same noise")
+	}
+	_, _, err := Measure(exec, powermon.Config{}, faults.Plan{Seed: 1, DVFSFailure: 1}, 5, 0)
+	if !faults.IsTransient(err) {
+		t.Errorf("certain DVFS failure returned %v, want a transient error", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -152,12 +153,16 @@ func (s *Server) handleFleetDevice(w http.ResponseWriter, r *http.Request) {
 	case "drain":
 		deadline := s.drainDeadline
 		if ds := r.URL.Query().Get("deadline_s"); ds != "" {
+			// NaN, infinities and values past time.Duration's range would
+			// convert to a negative deadline and drain at once, so the
+			// range check is written to fail on every non-finite value.
 			sec, perr := strconv.ParseFloat(ds, 64)
-			if perr != nil || sec <= 0 {
+			ns := sec * float64(time.Second)
+			if perr != nil || !(ns > 0 && ns < math.MaxInt64) {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad deadline_s %q", ds))
 				return
 			}
-			deadline = time.Duration(sec * float64(time.Second))
+			deadline = time.Duration(ns)
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), deadline)
 		defer cancel()

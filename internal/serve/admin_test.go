@@ -165,8 +165,13 @@ func TestAdminRemoveDevice(t *testing.T) {
 	if w := del(t, h, "/v1/fleet/devices/tk1-a?mode=explode"); w.Code != http.StatusBadRequest {
 		t.Errorf("bad mode = %d, want 400", w.Code)
 	}
-	if w := del(t, h, "/v1/fleet/devices/tk1-a?mode=drain&deadline_s=bogus"); w.Code != http.StatusBadRequest {
-		t.Errorf("bad deadline = %d, want 400", w.Code)
+	for _, ds := range []string{"bogus", "0", "-1", "NaN", "inf", "-inf", "1e10", "1e300"} {
+		if w := del(t, h, "/v1/fleet/devices/tk1-a?mode=drain&deadline_s="+ds); w.Code != http.StatusBadRequest {
+			t.Errorf("deadline_s=%s = %d, want 400", ds, w.Code)
+		}
+		if _, ok := reg.Get("tk1-a"); !ok {
+			t.Fatalf("deadline_s=%s removed the device", ds)
+		}
 	}
 
 	w := del(t, h, "/v1/fleet/devices/tk1-a?mode=drain&deadline_s=2")

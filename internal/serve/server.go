@@ -56,7 +56,6 @@ import (
 	"net/http"
 	"time"
 
-	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/experiments"
 	"dvfsroofline/internal/fleet"
 	"dvfsroofline/internal/tegra"
@@ -156,16 +155,13 @@ type Server struct {
 // daemon.
 func New(dev *tegra.Device, cal *experiments.Calibration, cfg experiments.Config, opts Options) *Server {
 	opts = opts.withDefaults()
-	calGrid := make([]dvfs.Setting, 0, 16)
-	for _, cs := range dvfs.CalibrationSettings() {
-		calGrid = append(calGrid, cs.Setting)
-	}
-	grids := map[string][]dvfs.Setting{
-		// "calibration": the paper's 16 measured settings (§II-E
-		// autotunes among configurations with measurements).
-		// "full": all 105 core x memory permutations.
-		"calibration": calGrid,
-		"full":        dvfs.Grid(),
+	// The unbounded spec's grids: "calibration", the paper's 16 measured
+	// settings (§II-E autotunes among configurations with measurements),
+	// and "full", all 105 core x memory permutations.
+	grids, err := fleet.Spec{}.Grids()
+	if err != nil {
+		// Unreachable: an unbounded spec keeps every setting.
+		panic(err)
 	}
 	node := fleet.NewNode("", dev, cal, cfg, grids, opts.NodeOptions())
 	reg, err := fleet.NewRegistry([]*fleet.Node{node}, 0)
